@@ -103,6 +103,9 @@ func Flood(net *simnet.Network, v Verifier, origin topology.NodeID, a Announceme
 	// receipt, so a flood costs work proportional to the traffic it
 	// creates rather than to network size.
 	received := make([]bool, n)
+	// The announcement is boxed into a Payload once, not once per
+	// relaying node.
+	var relay simnet.Payload = a
 	net.WakeAt(net.Slot(), origin)
 	slots := net.RunUntilQuiescentActive(maxSlots, func(ctx *simnet.Context) {
 		id := ctx.Node()
@@ -128,7 +131,7 @@ func Flood(net *simnet.Network, v Verifier, origin topology.NodeID, a Announceme
 		}
 		received[id] = true
 		if forward == nil || forward(id) {
-			ctx.Broadcast(a)
+			ctx.Broadcast(relay)
 		}
 	})
 	out := FloodResult{Received: make(map[topology.NodeID]bool, n), Slots: slots}

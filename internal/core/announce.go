@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 
 	"repro/internal/crypto"
@@ -23,11 +24,11 @@ func (a StartAnnounce) WireSize() int { return len(a.Nonce) + 8 }
 
 // Encode returns a stable byte encoding.
 func (a StartAnnounce) Encode() []byte {
-	out := []byte("start")
-	out = append(out, crypto.Uint64(uint64(a.Instances))...)
-	out = append(out, crypto.Uint64(uint64(a.L))...)
-	out = append(out, a.Nonce...)
-	return out
+	out := make([]byte, 0, len("start")+16+len(a.Nonce))
+	out = append(out, "start"...)
+	out = binary.BigEndian.AppendUint64(out, uint64(a.Instances))
+	out = binary.BigEndian.AppendUint64(out, uint64(a.L))
+	return append(out, a.Nonce...)
 }
 
 // MinAnnounce opens the confirmation phase: the base station broadcasts
@@ -43,12 +44,12 @@ func (a MinAnnounce) WireSize() int { return len(a.Nonce) + 8*len(a.Mins) }
 
 // Encode returns a stable byte encoding.
 func (a MinAnnounce) Encode() []byte {
-	out := []byte("min")
+	out := make([]byte, 0, len("min")+8*len(a.Mins)+len(a.Nonce))
+	out = append(out, "min"...)
 	for _, v := range a.Mins {
-		out = append(out, crypto.Float64(v)...)
+		out = binary.BigEndian.AppendUint64(out, math.Float64bits(v))
 	}
-	out = append(out, a.Nonce...)
-	return out
+	return append(out, a.Nonce...)
 }
 
 // RevocationAnnounce tells every sensor to stop accepting a key or a whole
@@ -76,11 +77,11 @@ func (a RevocationAnnounce) WireSize() int {
 
 // Encode returns a stable byte encoding.
 func (a RevocationAnnounce) Encode() []byte {
-	out := []byte("revoke")
-	out = append(out, crypto.Int64(int64(a.KeyIndex))...)
-	out = append(out, crypto.Int64(int64(a.Node))...)
-	out = append(out, a.RingSeed[:]...)
-	return out
+	out := make([]byte, 0, len("revoke")+16+crypto.KeySize)
+	out = append(out, "revoke"...)
+	out = binary.BigEndian.AppendUint64(out, uint64(a.KeyIndex))
+	out = binary.BigEndian.AppendUint64(out, uint64(a.Node))
+	return append(out, a.RingSeed[:]...)
 }
 
 // PredKind selects the question a keyed predicate test asks. The paper
@@ -132,19 +133,27 @@ type Predicate struct {
 	IDHi     topology.NodeID
 }
 
+// predicateEncodedLen is the length of a Predicate's encoding: the tag,
+// eight 8-byte fields and the message ID.
+const predicateEncodedLen = len("pred") + 8*8 + crypto.HashSize
+
 // Encode returns a stable byte encoding of the predicate.
 func (p Predicate) Encode() []byte {
-	out := []byte("pred")
-	out = append(out, crypto.Int64(int64(p.Kind))...)
-	out = append(out, crypto.Int64(int64(p.Instance))...)
-	out = append(out, crypto.Float64(p.VMax)...)
+	return p.appendEncoding(make([]byte, 0, predicateEncodedLen))
+}
+
+// appendEncoding appends the Encode bytes to out.
+func (p Predicate) appendEncoding(out []byte) []byte {
+	out = append(out, "pred"...)
+	out = binary.BigEndian.AppendUint64(out, uint64(p.Kind))
+	out = binary.BigEndian.AppendUint64(out, uint64(p.Instance))
+	out = binary.BigEndian.AppendUint64(out, math.Float64bits(p.VMax))
 	out = append(out, p.MsgID[:]...)
-	out = append(out, crypto.Int64(int64(p.Pos))...)
-	out = append(out, crypto.Int64(int64(p.KeyLo))...)
-	out = append(out, crypto.Int64(int64(p.KeyHi))...)
-	out = append(out, crypto.Int64(int64(p.IDLo))...)
-	out = append(out, crypto.Int64(int64(p.IDHi))...)
-	return out
+	out = binary.BigEndian.AppendUint64(out, uint64(p.Pos))
+	out = binary.BigEndian.AppendUint64(out, uint64(p.KeyLo))
+	out = binary.BigEndian.AppendUint64(out, uint64(p.KeyHi))
+	out = binary.BigEndian.AppendUint64(out, uint64(p.IDLo))
+	return binary.BigEndian.AppendUint64(out, uint64(p.IDHi))
 }
 
 // KeyRef names the key a predicate test is keyed on: either the sensor
@@ -165,12 +174,19 @@ func PoolKeyRef(index int) KeyRef { return KeyRef{Sensor: NoNode, PoolIndex: ind
 // IsSensorKey reports whether the reference names a sensor key.
 func (k KeyRef) IsSensorKey() bool { return k.Sensor != NoNode }
 
+// keyRefEncodedLen is the length of a KeyRef's encoding.
+const keyRefEncodedLen = len("keyref") + 16
+
 // Encode returns a stable byte encoding.
 func (k KeyRef) Encode() []byte {
-	out := []byte("keyref")
-	out = append(out, crypto.Int64(int64(k.Sensor))...)
-	out = append(out, crypto.Int64(int64(k.PoolIndex))...)
-	return out
+	return k.appendEncoding(make([]byte, 0, keyRefEncodedLen))
+}
+
+// appendEncoding appends the Encode bytes to out.
+func (k KeyRef) appendEncoding(out []byte) []byte {
+	out = append(out, "keyref"...)
+	out = binary.BigEndian.AppendUint64(out, uint64(k.Sensor))
+	return binary.BigEndian.AppendUint64(out, uint64(k.PoolIndex))
 }
 
 // TestAnnounce is the authenticated broadcast that opens one keyed
@@ -190,14 +206,16 @@ func (t TestAnnounce) WireSize() int {
 	return 8 + 40 + len(t.Nonce) + crypto.HashSize
 }
 
-// Encode returns a stable byte encoding.
+// Encode returns a stable byte encoding. Every receiver of the test
+// re-encodes it to check the announcement MAC, so the encoding is built
+// in one buffer of exactly its length.
 func (t TestAnnounce) Encode() []byte {
-	out := []byte("test")
-	out = append(out, t.Key.Encode()...)
-	out = append(out, t.Pred.Encode()...)
+	out := make([]byte, 0, len("test")+keyRefEncodedLen+predicateEncodedLen+len(t.Nonce)+crypto.HashSize)
+	out = append(out, "test"...)
+	out = t.Key.appendEncoding(out)
+	out = t.Pred.appendEncoding(out)
 	out = append(out, t.Nonce...)
-	out = append(out, t.Commitment[:]...)
-	return out
+	return append(out, t.Commitment[:]...)
 }
 
 // ReplyMAC computes the "yes" reply MAC_K(N) for a test nonce.

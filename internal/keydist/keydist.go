@@ -229,13 +229,25 @@ func (d *Deployment) SharedIndices(a, b topology.NodeID) []int {
 // EdgeKeyIndex returns the pool index of the edge key a and b use: the
 // lowest-indexed common key not filtered out by revoked (which may be
 // nil). The second result reports whether a usable edge key exists. Both
-// endpoints compute the same answer, so no negotiation is needed.
+// endpoints compute the same answer, so no negotiation is needed. It
+// merge-walks the two sorted rings and stops at the first usable common
+// index, without allocating.
 func (d *Deployment) EdgeKeyIndex(a, b topology.NodeID, revoked func(index int) bool) (int, bool) {
-	for _, idx := range d.SharedIndices(a, b) {
-		if revoked != nil && revoked(idx) {
-			continue
+	ra, rb := d.Ring(a), d.Ring(b)
+	i, j := 0, 0
+	for i < len(ra) && j < len(rb) {
+		switch {
+		case ra[i] < rb[j]:
+			i++
+		case ra[i] > rb[j]:
+			j++
+		default:
+			if revoked == nil || !revoked(ra[i]) {
+				return ra[i], true
+			}
+			i++
+			j++
 		}
-		return idx, true
 	}
 	return 0, false
 }

@@ -140,6 +140,44 @@ func TestEdgeKeyIndexDeterministicLowestUnrevoked(t *testing.T) {
 	}
 }
 
+func TestEdgeKeyIndexMatchesFirstUnrevokedShared(t *testing.T) {
+	d := testDeployment(t, 30, Params{PoolSize: 400, RingSize: 40}, 6)
+	revokers := map[string]func(int) bool{
+		"none":  nil,
+		"odd":   func(i int) bool { return i%2 == 1 },
+		"low":   func(i int) bool { return i < 200 },
+		"every": func(int) bool { return true },
+	}
+	for name, revoked := range revokers {
+		for a := topology.NodeID(0); a < 30; a++ {
+			for b := topology.NodeID(0); b < 30; b++ {
+				want, wantOK := 0, false
+				for _, idx := range d.SharedIndices(a, b) {
+					if revoked == nil || !revoked(idx) {
+						want, wantOK = idx, true
+						break
+					}
+				}
+				got, ok := d.EdgeKeyIndex(a, b, revoked)
+				if got != want || ok != wantOK {
+					t.Fatalf("%s: EdgeKeyIndex(%d, %d) = %d, %v; want %d, %v", name, a, b, got, ok, want, wantOK)
+				}
+			}
+		}
+	}
+}
+
+func TestEdgeKeyIndexAllocatesNothing(t *testing.T) {
+	d := testDeployment(t, 10, Params{PoolSize: 50, RingSize: 25}, 4)
+	revoked := func(i int) bool { return i%3 == 0 }
+	allocs := testing.AllocsPerRun(100, func() {
+		d.EdgeKeyIndex(1, 2, revoked)
+	})
+	if allocs != 0 {
+		t.Fatalf("EdgeKeyIndex allocates %.1f times per call, want 0", allocs)
+	}
+}
+
 func TestSecureGraphFiltersKeylessEdges(t *testing.T) {
 	// With a sparse pool, some radio links lack a shared key.
 	d := testDeployment(t, 30, Params{PoolSize: 1000, RingSize: 20}, 5)

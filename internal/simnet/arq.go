@@ -147,6 +147,7 @@ func (n *Network) arqTick() {
 		m.seq = n.seq
 		n.seq++
 		n.stats.Retransmits++
+		n.retransmitted = true
 		n.stats.BytesSent[m.From] += int64(m.Payload.WireSize())
 		n.stats.MessagesSent[m.From]++
 		n.pending = append(n.pending, m)

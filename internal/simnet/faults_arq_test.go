@@ -2,6 +2,7 @@ package simnet
 
 import (
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -39,7 +40,7 @@ func (f *scriptedFaults) DeliveryLost() bool {
 
 func TestCrashedNodeNeitherStepsNorReceives(t *testing.T) {
 	fm := &scriptedFaults{downNodes: map[topology.NodeID]bool{1: true}}
-	net := New(topology.Line(3), Config{Sequential: true, Faults: fm})
+	net := New(topology.Line(3), Config{Faults: fm})
 	stepped := make([]int, 3)
 	received := 0
 	net.RunSlots(3, func(ctx *Context) {
@@ -67,7 +68,7 @@ func TestDownLinkDropsDelivery(t *testing.T) {
 	fm := &scriptedFaults{downLinks: func(from, to topology.NodeID) bool {
 		return (from == 0 && to == 1) || (from == 1 && to == 0)
 	}}
-	net := New(topology.Line(3), Config{Sequential: true, Faults: fm})
+	net := New(topology.Line(3), Config{Faults: fm})
 	received := 0
 	net.RunSlots(3, func(ctx *Context) {
 		received += len(ctx.Inbox)
@@ -94,7 +95,7 @@ func TestARQRecoversFromBurstLoss(t *testing.T) {
 	// Draw 0 is the first delivery attempt: lost. The retransmission
 	// (draw 1) and its ack (draw 2) get through.
 	fm := &scriptedFaults{lossAt: map[int]bool{0: true}}
-	net := New(topology.Line(2), Config{Sequential: true, Faults: fm, ARQ: &ARQConfig{}})
+	net := New(topology.Line(2), Config{Faults: fm, ARQ: &ARQConfig{}})
 	var got []Message
 	net.RunSlots(6, func(ctx *Context) {
 		got = append(got, ctx.Inbox...)
@@ -128,7 +129,7 @@ func TestARQSuppressesDuplicateOnLostAck(t *testing.T) {
 	// out and retransmits; draw 2 delivers the duplicate, which the
 	// receiver suppresses and re-acks (draw 3 lets the ack through).
 	fm := &scriptedFaults{lossAt: map[int]bool{1: true}}
-	net := New(topology.Line(2), Config{Sequential: true, Faults: fm, ARQ: &ARQConfig{}})
+	net := New(topology.Line(2), Config{Faults: fm, ARQ: &ARQConfig{}})
 	var got []Message
 	net.RunSlots(6, func(ctx *Context) {
 		got = append(got, ctx.Inbox...)
@@ -152,7 +153,7 @@ func TestARQGivesUpAfterBudget(t *testing.T) {
 	// The 0-1 link is permanently down: every attempt is dropped and the
 	// sender must abandon the frame after MaxRetries retransmissions.
 	fm := &scriptedFaults{downLinks: func(from, to topology.NodeID) bool { return true }}
-	net := New(topology.Line(2), Config{Sequential: true, Faults: fm, ARQ: &ARQConfig{}})
+	net := New(topology.Line(2), Config{Faults: fm, ARQ: &ARQConfig{}})
 	net.RunSlots(40, func(ctx *Context) {
 		if ctx.Slot() == 0 && ctx.Node() == 0 {
 			ctx.Send(1, payload{"doomed", 12})
@@ -171,7 +172,7 @@ func TestARQGivesUpAfterBudget(t *testing.T) {
 }
 
 func TestARQZeroCountersWhenDisabled(t *testing.T) {
-	net := New(topology.Line(3), Config{Sequential: true})
+	net := New(topology.Line(3), Config{})
 	net.RunSlots(3, func(ctx *Context) {
 		if ctx.Slot() == 0 && ctx.Node() == 0 {
 			ctx.Send(1, payload{"plain", 10})
@@ -213,7 +214,7 @@ func TestNoGoroutineLeakAfterFaultyRun(t *testing.T) {
 			LinkDownProb: 0.05,
 			LinkUpProb:   0.3,
 		}, g, uint64(trial)+1)
-		net := New(g, Config{Workers: 4, Faults: sched, ARQ: &ARQConfig{}})
+		net := New(g, Config{Faults: sched, ARQ: &ARQConfig{}})
 		var mu sync.Mutex
 		net.RunSlots(30, func(ctx *Context) {
 			mu.Lock()
@@ -233,5 +234,38 @@ func TestNoGoroutineLeakAfterFaultyRun(t *testing.T) {
 		}
 		runtime.Gosched()
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+func TestInboxSortedAfterARQRetransmit(t *testing.T) {
+	// Node 2's first frame to the hub is lost (draw 0). Its retransmit is
+	// queued ahead of the sweep in slot 2, where node 1 sends fresh, so
+	// pending holds the hub's messages out of sender order and the
+	// delivery must sort them.
+	fm := &scriptedFaults{lossAt: map[int]bool{0: true}}
+	net := New(topology.Star(3), Config{Faults: fm, ARQ: &ARQConfig{}})
+	var hub []topology.NodeID
+	step := func(ctx *Context) {
+		switch {
+		case ctx.Slot() == 0 && ctx.Node() == 2:
+			ctx.Send(0, payload{"first", 4})
+		case ctx.Slot() == 2 && ctx.Node() == 1:
+			ctx.Send(0, payload{"fresh", 4})
+		case ctx.Slot() == 3 && ctx.Node() == 0:
+			for _, m := range ctx.Inbox {
+				hub = append(hub, m.From)
+			}
+		}
+	}
+	net.RunSlots(3, step)
+	if len(net.pending) != 2 || net.pending[0].From != 2 || net.pending[1].From != 1 {
+		t.Fatalf("fixture: pending after slot 2 = %+v, want the retransmit from 2 ahead of the send from 1", net.pending)
+	}
+	net.RunSlots(1, step)
+	if !slices.Equal(hub, []topology.NodeID{1, 2}) {
+		t.Fatalf("hub inbox senders = %v, want [1 2]", hub)
+	}
+	if s := net.Stats(); s.Retransmits != 1 {
+		t.Fatalf("Retransmits = %d, want 1", s.Retransmits)
 	}
 }

@@ -19,8 +19,9 @@
 // append. Every run of the same configuration replays the identical
 // event sequence because each ordering decision is structural, not
 // scheduled: steps run in node order, outgoing messages merge in node
-// order and are stamped with a global send sequence, inboxes sort by
-// (From, seq) plus the configurable Orderer, and every random coin
+// order and are stamped with a global send sequence, so inboxes fill in
+// (From, seq) order (re-sorted only when ARQ retransmits disturb it)
+// before the configurable Orderer runs, and every random coin
 // (loss, faults) is drawn from a seeded stream at a fixed point in the
 // delivery pipeline. There are no goroutines, channels, or atomics in
 // the loop — parallelism belongs one level up, across independent trials
@@ -45,6 +46,7 @@ package simnet
 
 import (
 	"cmp"
+	"math/bits"
 	"slices"
 
 	"repro/internal/crypto"
@@ -116,17 +118,6 @@ type Config struct {
 	// edge. VMAT's attack model lets colluding malicious sensors
 	// communicate out of band (e.g. the wormhole of Figure 2(c)).
 	ExtraLink func(from, to topology.NodeID) bool
-
-	// Sequential is retained for configuration compatibility. The event
-	// loop always runs node steps sequentially in node order; the flag
-	// has no effect.
-	Sequential bool
-
-	// Workers is retained for configuration compatibility. Execution is
-	// single-threaded per network — rows were already bit-identical for
-	// every worker count, and trial-level parallelism (experiments'
-	// RunTrials) is where cores pay off — so the knob has no effect.
-	Workers int
 
 	// DropRate, with DropRNG, drops each delivered message independently
 	// with the given probability. The paper assumes reliable links after
@@ -225,18 +216,22 @@ type Network struct {
 	// Sparse-sweep scheduling: wakes maps a slot to the nodes explicitly
 	// scheduled to step in it, wakeAll marks slots where every node
 	// steps, alwaysActive lists nodes stepped every slot (sorted), and
-	// activeStamp/active are the per-slot active-set scratch (a node is
-	// in this slot's set when its stamp equals slot+1).
+	// activeBits/active are the per-slot active-set scratch (a bitset
+	// over node IDs, all zero between slots, and the ordered set read
+	// from it).
 	wakes        map[int][]topology.NodeID
 	wakeAll      map[int]bool
 	alwaysActive []topology.NodeID
-	activeStamp  []int
+	activeBits   []uint64
 	active       []topology.NodeID
 
-	// Link-layer ARQ state: unacked frames in send order, and the
-	// normalized (defaults-applied) configuration.
-	arq    []*arqEntry
-	arqCfg ARQConfig
+	// Link-layer ARQ state: unacked frames in send order, the normalized
+	// (defaults-applied) configuration, and whether pending holds
+	// retransmits (the one way an inbox can fill out of (From, seq)
+	// order).
+	arq           []*arqEntry
+	arqCfg        ARQConfig
+	retransmitted bool
 }
 
 // New creates a network over the given graph.
@@ -289,15 +284,14 @@ func (n *Network) Pending() int { return len(n.pending) }
 // it wants to keep.
 type StepFunc func(ctx *Context)
 
-// Context is handed to a StepFunc; it carries the node identity, the slot
-// inbox, and buffers outgoing sends until the end-of-slot merge. Contexts
-// are pooled per node and recycled every slot.
+// Context is handed to a StepFunc; it carries the node identity and the
+// slot inbox, and queues the node's sends for next-slot delivery.
+// Contexts are pooled per node and recycled every slot.
 type Context struct {
 	net   *Network
 	node  topology.NodeID
 	slot  int
 	Inbox []Message
-	out   []Message
 	sends int
 	down  bool // crashed this slot per the fault model; step is skipped
 }
@@ -316,37 +310,67 @@ func (c *Context) Neighbors() []topology.NodeID { return c.net.graph.Neighbors(c
 // returns false if the node's per-slot send capacity is exhausted or there
 // is no usable link; such messages are dropped and counted.
 func (c *Context) Send(to topology.NodeID, p Payload) bool {
-	if limit := c.net.cfg.MaxSendsPerSlot; limit > 0 && c.sends >= limit {
-		c.net.stats.DroppedCapacity++
-		return false
-	}
-	if !c.net.linkAllowed(c.node, to) {
-		c.net.stats.DroppedNoLink++
-		return false
-	}
-	c.sends++
-	c.out = append(c.out, Message{From: c.node, To: to, Payload: p})
-	return true
+	return c.send(to, p, p.WireSize(), false)
 }
 
 // Broadcast transmits payload to every neighbor, as individual sends (the
 // paper notes a sensor must send distinct edge MACs to distinct neighbors,
 // so a local broadcast is d unicasts). It returns how many sends went out.
+// Each send takes Send's path, capacity and link checks included; only
+// the graph-membership lookup is skipped, since a neighbor is adjacent by
+// construction.
 func (c *Context) Broadcast(p Payload) int {
+	size := p.WireSize()
 	sent := 0
 	for _, nb := range c.Neighbors() {
-		if c.Send(nb, p) {
+		if c.send(nb, p, size, true) {
 			sent++
 		}
 	}
 	return sent
 }
 
-func (n *Network) linkAllowed(from, to topology.NodeID) bool {
+// send is the one path every transmission takes: the capacity and link
+// checks, then the merge into the pending queue with a sequence stamp and
+// sender-side accounting (size is p's wire size). neighbor asserts that
+// to is a graph neighbor of the sender, which spares the edge lookup.
+// Steps run in ascending node order, so pending fills in (From, seq)
+// order. With the ARQ enabled every frame gets a tracking entry; the
+// message placed in pending (and any retransmitted copy) carries a
+// pointer back to it.
+func (c *Context) send(to topology.NodeID, p Payload, size int, neighbor bool) bool {
+	n := c.net
+	if limit := n.cfg.MaxSendsPerSlot; limit > 0 && c.sends >= limit {
+		n.stats.DroppedCapacity++
+		return false
+	}
+	if !n.linkAllowed(c.node, to, neighbor) {
+		n.stats.DroppedNoLink++
+		return false
+	}
+	c.sends++
+	m := Message{From: c.node, To: to, Payload: p, seq: n.seq}
+	n.seq++
+	n.stats.BytesSent[c.node] += int64(size)
+	n.stats.MessagesSent[c.node]++
+	if n.cfg.ARQ != nil {
+		e := &arqEntry{lastSent: n.slot}
+		m.arq = e
+		e.msg = m
+		n.arq = append(n.arq, e)
+	}
+	n.pending = append(n.pending, m)
+	return true
+}
+
+// linkAllowed reports whether from may transmit to to this slot: over a
+// graph edge the link filter does not veto, or over an extra link.
+// neighbor reports that the edge is already known to exist.
+func (n *Network) linkAllowed(from, to topology.NodeID, neighbor bool) bool {
 	if from == to {
 		return false
 	}
-	if n.graph.HasEdge(from, to) {
+	if neighbor || n.graph.HasEdge(from, to) {
 		if n.cfg.LinkFilter == nil || n.cfg.LinkFilter(from, to) {
 			return true
 		}
@@ -462,6 +486,8 @@ func (n *Network) runOneSlot(step StepFunc, sparse bool) {
 		inboxes[id] = inboxes[id][:0]
 	}
 	n.touched = n.touched[:0]
+	disordered := n.retransmitted
+	n.retransmitted = false
 	for _, m := range n.pending {
 		if faults != nil && (faults.NodeDown(m.From) || faults.NodeDown(m.To) || faults.LinkDown(m.From, m.To)) {
 			n.stats.DroppedFault++
@@ -490,24 +516,27 @@ func (n *Network) runOneSlot(step StepFunc, sparse bool) {
 	if n.cfg.ARQ != nil {
 		n.arqTick()
 	}
-	for _, id := range n.touched {
-		box := inboxes[id]
-		slices.SortFunc(box, func(a, b Message) int {
-			if a.From != b.From {
-				return cmp.Compare(a.From, b.From)
+	// Pending holds sends in sweep order, which is (From, seq) order, so
+	// inboxes fill already sorted. Only ARQ retransmits, queued ahead of
+	// the sweep's fresh sends and in their original send order, can break
+	// that; then each inbox that is out of order is sorted.
+	if disordered || n.cfg.Order != nil {
+		for _, id := range n.touched {
+			box := inboxes[id]
+			if disordered && !slices.IsSortedFunc(box, byFromSeq) {
+				slices.SortFunc(box, byFromSeq)
 			}
-			return cmp.Compare(a.seq, b.seq)
-		})
-		if n.cfg.Order != nil {
-			n.cfg.Order(box)
+			if n.cfg.Order != nil {
+				n.cfg.Order(box)
+			}
 		}
 	}
 
 	// Sweep the slot's node set in ascending node order: reset each
-	// node's context, run its step unless it is crashed, and merge its
-	// outgoing messages immediately — sweep order is merge order, so
-	// sequence stamping matches the dense order restricted to the nodes
-	// that act.
+	// node's context and run its step unless it is crashed. Sends enter
+	// the pending queue as they are made, so sweep order is merge order
+	// and sequence stamping matches the dense order restricted to the
+	// nodes that act.
 	if sparse {
 		n.sweepNodes(step, faults, n.activeSet())
 	} else {
@@ -517,10 +546,17 @@ func (n *Network) runOneSlot(step StepFunc, sparse bool) {
 	n.stats.Slots++
 }
 
+// byFromSeq is the default inbox order: by sender, then by send sequence.
+func byFromSeq(a, b Message) int {
+	if a.From != b.From {
+		return cmp.Compare(a.From, b.From)
+	}
+	return cmp.Compare(a.seq, b.seq)
+}
+
 // activeSet collects this slot's sparse active set in ascending node
 // order: explicitly woken nodes, nodes with a non-empty inbox, and the
-// always-active set. A WakeAllAt registration short-circuits to nil with
-// all=true semantics handled by the caller via the second return.
+// always-active set. A WakeAllAt registration makes every node active.
 func (n *Network) activeSet() []topology.NodeID {
 	if n.wakeAll[n.slot] {
 		delete(n.wakeAll, n.slot)
@@ -534,16 +570,17 @@ func (n *Network) activeSet() []topology.NodeID {
 		}
 		return n.active
 	}
-	if n.activeStamp == nil {
-		n.activeStamp = make([]int, len(n.ctxs))
+	if n.activeBits == nil {
+		n.activeBits = make([]uint64, (len(n.ctxs)+63)/64)
 	}
-	stamp := n.slot + 1 // nonzero, unique per slot
-	n.active = n.active[:0]
+	// Mark the set in a bitset, then read it back word by word: the
+	// result comes out in ascending order with no sort, and the scan
+	// covers only the words between the lowest and highest mark.
+	lo, hi := len(n.activeBits), -1
 	mark := func(id topology.NodeID) {
-		if n.activeStamp[id] != stamp {
-			n.activeStamp[id] = stamp
-			n.active = append(n.active, id)
-		}
+		w := int(id) >> 6
+		n.activeBits[w] |= 1 << (uint(id) & 63)
+		lo, hi = min(lo, w), max(hi, w)
 	}
 	for _, id := range n.touched {
 		mark(id)
@@ -557,7 +594,15 @@ func (n *Network) activeSet() []topology.NodeID {
 	for _, id := range n.alwaysActive {
 		mark(id)
 	}
-	slices.Sort(n.active)
+	n.active = n.active[:0]
+	for w := lo; w <= hi; w++ {
+		word := n.activeBits[w]
+		n.activeBits[w] = 0
+		for word != 0 {
+			n.active = append(n.active, topology.NodeID(w<<6+bits.TrailingZeros64(word)))
+			word &= word - 1
+		}
+	}
 	return n.active
 }
 
@@ -575,47 +620,50 @@ func (n *Network) sweepNodes(step StepFunc, faults FaultModel, ids []topology.No
 	}
 }
 
-// stepNode resets one node's context, runs its step unless crashed, and
-// merges its sends into the pending queue with sequence stamps and
-// sender-side accounting. With the ARQ enabled every frame gets a
-// tracking entry; the message copy placed in pending (and any
-// retransmitted copy) carries a pointer back to it.
+// stepNode resets one node's context and runs its step unless crashed.
+// The step's sends go straight into the pending queue (see send).
 func (n *Network) stepNode(step StepFunc, faults FaultModel, id topology.NodeID) {
 	c := &n.ctxs[id]
 	c.net = n
 	c.node = id
 	c.slot = n.slot
 	c.Inbox = n.inboxes[id]
-	c.out = c.out[:0]
 	c.sends = 0
 	c.down = faults != nil && faults.NodeDown(id)
 	if c.down {
 		return
 	}
 	step(c)
-	for _, m := range c.out {
-		m.seq = n.seq
-		n.seq++
-		n.stats.BytesSent[m.From] += int64(m.Payload.WireSize())
-		n.stats.MessagesSent[m.From]++
-		if n.cfg.ARQ != nil {
-			e := &arqEntry{lastSent: n.slot}
-			m.arq = e
-			e.msg = m
-			n.arq = append(n.arq, e)
-		}
-		n.pending = append(n.pending, m)
-	}
 }
 
 // MaliciousFirstOrder returns an Orderer that moves messages originated by
 // malicious nodes to the front of each inbox, modelling the worst case
 // where the adversary's transmissions always beat honest ones within a
-// slot (the "first veto wins" races of the SOF protocol).
+// slot (the "first veto wins" races of the SOF protocol). Order within
+// each group is kept.
 func MaliciousFirstOrder(malicious map[topology.NodeID]bool) Orderer {
+	maxID := topology.NodeID(-1)
+	for id, ok := range malicious {
+		if ok && id > maxID {
+			maxID = id
+		}
+	}
+	mal := make(nodeSet, maxID+1)
+	for id, ok := range malicious {
+		if ok && id >= 0 {
+			mal[id] = true
+		}
+	}
 	return func(inbox []Message) {
+		i := 0
+		for i < len(inbox) && !mal.has(inbox[i].From) {
+			i++
+		}
+		if i == len(inbox) {
+			return // no malicious sender: nothing moves
+		}
 		slices.SortStableFunc(inbox, func(a, b Message) int {
-			am, bm := malicious[a.From], malicious[b.From]
+			am, bm := mal.has(a.From), mal.has(b.From)
 			switch {
 			case am && !bm:
 				return -1
@@ -627,3 +675,8 @@ func MaliciousFirstOrder(malicious map[topology.NodeID]bool) Orderer {
 		})
 	}
 }
+
+// nodeSet is a set of node IDs indexed by ID.
+type nodeSet []bool
+
+func (s nodeSet) has(id topology.NodeID) bool { return id >= 0 && int(id) < len(s) && s[id] }

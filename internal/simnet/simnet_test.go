@@ -1,6 +1,7 @@
 package simnet
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -296,45 +297,33 @@ func TestRunUntilQuiescentHonorsMax(t *testing.T) {
 	}
 }
 
-func TestSequentialAndParallelAgree(t *testing.T) {
-	// A small flooding protocol must produce identical stats under both
-	// execution modes.
-	build := func(sequential bool) Stats {
+func TestFloodStatsReproducible(t *testing.T) {
+	// Two runs of the same flooding protocol must produce identical
+	// per-node accounting: every ordering decision is structural.
+	build := func() Stats {
 		g := topology.Grid(4, 5)
-		net := New(g, Config{Sequential: sequential})
+		net := New(g, Config{})
 		seen := make([]bool, g.NumNodes())
-		var mu sync.Mutex
 		net.RunSlots(12, func(ctx *Context) {
-			if ctx.Slot() == 0 && ctx.Node() == 0 {
-				mu.Lock()
-				seen[0] = true
-				mu.Unlock()
-				ctx.Broadcast(payload{"flood", 8})
-				return
-			}
-			mu.Lock()
-			first := !seen[ctx.Node()] && len(ctx.Inbox) > 0
+			first := (ctx.Slot() == 0 && ctx.Node() == 0) || (!seen[ctx.Node()] && len(ctx.Inbox) > 0)
 			if first {
 				seen[ctx.Node()] = true
-			}
-			mu.Unlock()
-			if first {
 				ctx.Broadcast(payload{"flood", 8})
 			}
 		})
 		for id, ok := range seen {
 			if !ok {
-				t.Fatalf("flood missed node %d (sequential=%v)", id, sequential)
+				t.Fatalf("flood missed node %d", id)
 			}
 		}
 		return net.Stats()
 	}
-	seq, par := build(true), build(false)
-	if seq.TotalBytes() != par.TotalBytes() {
-		t.Fatalf("sequential/parallel divergence: %d vs %d bytes", seq.TotalBytes(), par.TotalBytes())
+	a, b := build(), build()
+	if a.TotalBytes() != b.TotalBytes() {
+		t.Fatalf("runs diverge: %d vs %d bytes", a.TotalBytes(), b.TotalBytes())
 	}
-	for i := range seq.BytesSent {
-		if seq.BytesSent[i] != par.BytesSent[i] || seq.BytesReceived[i] != par.BytesReceived[i] {
+	for i := range a.BytesSent {
+		if a.BytesSent[i] != b.BytesSent[i] || a.BytesReceived[i] != b.BytesReceived[i] {
 			t.Fatalf("per-node divergence at node %d", i)
 		}
 	}
@@ -430,4 +419,62 @@ func gridAndDepth(t *testing.T) (*topology.Graph, int) {
 	t.Helper()
 	g := topology.Grid(5, 6)
 	return g, g.Depth(0)
+}
+
+func TestBroadcastMatchesPerNeighborSend(t *testing.T) {
+	// Broadcast skips only the edge lookup: under a link filter, an extra
+	// link and a send cap it must queue exactly what per-neighbor Sends
+	// queue, in the same order, with the same drop counts.
+	g := topology.Grid(4, 4)
+	cfg := Config{
+		MaxSendsPerSlot: 3,
+		LinkFilter:      func(from, to topology.NodeID) bool { return (from+to)%3 != 0 },
+		ExtraLink:       func(from, to topology.NodeID) bool { return from%2 == 0 && to%2 == 0 },
+	}
+	run := func(broadcast bool) (*Network, []int) {
+		net := New(g, cfg)
+		var sent []int
+		net.RunSlots(1, func(ctx *Context) {
+			p := payload{"b", int(ctx.Node()) + 1}
+			if broadcast {
+				sent = append(sent, ctx.Broadcast(p))
+				return
+			}
+			k := 0
+			for _, nb := range ctx.Neighbors() {
+				if ctx.Send(nb, p) {
+					k++
+				}
+			}
+			sent = append(sent, k)
+		})
+		return net, sent
+	}
+	bnet, bsent := run(true)
+	snet, ssent := run(false)
+	if !slices.Equal(bsent, ssent) {
+		t.Fatalf("sends per node differ: broadcast %v, per-neighbor %v", bsent, ssent)
+	}
+	if len(bnet.pending) != len(snet.pending) {
+		t.Fatalf("queued %d vs %d messages", len(bnet.pending), len(snet.pending))
+	}
+	for i := range bnet.pending {
+		b, s := bnet.pending[i], snet.pending[i]
+		if b.From != s.From || b.To != s.To || b.seq != s.seq || b.Payload != s.Payload {
+			t.Fatalf("queued message %d differs: broadcast %+v, per-neighbor %+v", i, b, s)
+		}
+	}
+	bs, ss := bnet.Stats(), snet.Stats()
+	if bs.DroppedNoLink != ss.DroppedNoLink || bs.DroppedCapacity != ss.DroppedCapacity {
+		t.Fatalf("drops differ: broadcast noLink=%d capacity=%d, per-neighbor noLink=%d capacity=%d",
+			bs.DroppedNoLink, bs.DroppedCapacity, ss.DroppedNoLink, ss.DroppedCapacity)
+	}
+	if bs.DroppedNoLink == 0 || bs.DroppedCapacity == 0 {
+		t.Fatalf("fixture exercised no drops (noLink=%d capacity=%d)", bs.DroppedNoLink, bs.DroppedCapacity)
+	}
+	// Edge 4-8 is vetoed by the filter but both ends are even: it must
+	// survive through the extra link.
+	if !slices.ContainsFunc(bnet.pending, func(m Message) bool { return m.From == 4 && m.To == 8 }) {
+		t.Fatal("filtered edge with an extra link was not used")
+	}
 }

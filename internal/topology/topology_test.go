@@ -243,3 +243,75 @@ func TestNewPanicsOnEmpty(t *testing.T) {
 	}()
 	New(0)
 }
+
+func TestAdjacencyMatchesReferenceEdgeSet(t *testing.T) {
+	// Random multigraph insertions (duplicates, both orientations,
+	// self-loops) against a plain edge-set reference.
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := crypto.NewStreamFromSeed(seed)
+		n := 1 + rng.Intn(40)
+		g := New(n)
+		ref := map[[2]NodeID]bool{}
+		for k := rng.Intn(4 * n); k > 0; k-- {
+			a, b := NodeID(rng.Intn(n)), NodeID(rng.Intn(n))
+			g.AddEdge(a, b)
+			if a != b {
+				ref[[2]NodeID{min(a, b), max(a, b)}] = true
+			}
+		}
+		checkAgainst(t, g, ref, n)
+
+		c := g.Clone()
+		checkAgainst(t, c, ref, n)
+		if n > 1 {
+			c.AddEdge(0, NodeID(n-1)) // a clone is independent
+			if !ref[[2]NodeID{0, NodeID(n - 1)}] && g.HasEdge(0, NodeID(n-1)) {
+				t.Fatalf("seed %d: mutating the clone changed the original", seed)
+			}
+		}
+
+		keep := func(a, b NodeID) bool { return (a+2*b)%3 != 0 }
+		sub := map[[2]NodeID]bool{}
+		for e := range ref {
+			if keep(e[0], e[1]) {
+				sub[e] = true
+			}
+		}
+		checkAgainst(t, g.Subgraph(keep), sub, n)
+	}
+}
+
+func checkAgainst(t *testing.T, g *Graph, ref map[[2]NodeID]bool, n int) {
+	t.Helper()
+	if g.NumEdges() != len(ref) {
+		t.Fatalf("NumEdges = %d, want %d", g.NumEdges(), len(ref))
+	}
+	for a := NodeID(-1); a <= NodeID(n); a++ {
+		for b := NodeID(-1); b <= NodeID(n); b++ {
+			want := ref[[2]NodeID{min(a, b), max(a, b)}]
+			if g.HasEdge(a, b) != want {
+				t.Fatalf("HasEdge(%d, %d) = %v, want %v", a, b, !want, want)
+			}
+		}
+	}
+	edges := g.Edges()
+	if len(edges) != len(ref) {
+		t.Fatalf("Edges has %d entries, want %d", len(edges), len(ref))
+	}
+	for i, e := range edges {
+		if !ref[e] || e[0] >= e[1] {
+			t.Fatalf("Edges()[%d] = %v is not a reference edge with a < b", i, e)
+		}
+		if i > 0 && (edges[i-1][0] > e[0] || (edges[i-1][0] == e[0] && edges[i-1][1] >= e[1])) {
+			t.Fatalf("Edges not in sorted order at %d: %v then %v", i, edges[i-1], e)
+		}
+	}
+	for id := 0; id < n; id++ {
+		nbs := g.Neighbors(NodeID(id))
+		for i := 1; i < len(nbs); i++ {
+			if nbs[i-1] >= nbs[i] {
+				t.Fatalf("neighbors of %d not strictly sorted: %v", id, nbs)
+			}
+		}
+	}
+}
